@@ -83,12 +83,6 @@ class HBNode:
     def accesses_to(self, location: str) -> List[Operation]:
         return [op for op in self.accesses() if op.location == location]
 
-    def writes_to(self, location: str) -> bool:
-        return any(op.is_write for op in self.accesses_to(location))
-
-    def reads_from(self, location: str) -> bool:
-        return any(op.is_read for op in self.accesses_to(location))
-
     def __repr__(self) -> str:
         if len(self.ops) == 1:
             return "HBNode(%d, %s)" % (self.node_id, self.ops[0].render())
@@ -322,6 +316,42 @@ class HBGraph:
                     lines.append("  n%d -> n%d;" % (i, j))
         lines.append("}")
         return "\n".join(lines)
+
+
+#: ``location -> [(node, writes_here), ...]`` (see :func:`location_accessors`).
+LocationIndex = Dict[str, List[Tuple[HBNode, bool]]]
+
+
+def location_accessors(graph: HBGraph) -> LocationIndex:
+    """Per memory location, the access-block nodes touching it with a
+    writes-here flag: ``location -> [(node, writes), ...]``.
+
+    Nodes ascend in id (= trace) order within each list, and locations
+    appear in order of first access — the order :meth:`HBNode.locations`
+    gives within one block.  One pass over each block's operations: a
+    location's flag is set on its first access in the block and only a
+    later write changes it (``False -> True``), so building the index is
+    linear in the trace, not in (block size × locations per block).
+    """
+    index: LocationIndex = {}
+    write = OpKind.WRITE
+    for node in graph.nodes:
+        if not node.is_access_block:
+            continue
+        # Coalesced blocks hold only memory accesses (see _build_nodes).
+        writes_here: Dict[str, bool] = {}
+        for op in node.ops:
+            if op.kind is write:
+                writes_here[op.location] = True
+            else:
+                writes_here.setdefault(op.location, False)
+        for location, writes in writes_here.items():
+            entries = index.get(location)
+            if entries is None:
+                index[location] = [(node, writes)]
+            else:
+                entries.append((node, writes))
+    return index
 
 
 def _bits(mask: int) -> List[int]:

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .classification import RaceCategory, classify_race
-from .graph import HBNode, iter_bits
+from .graph import HBNode, LocationIndex, iter_bits, location_accessors
 from .happens_before import (
     ANDROID_HB,
     BACKEND_BITMASK,
@@ -316,13 +316,19 @@ class RaceDetector:
             )
             seen: set = set()  # (location, category) dedup keys
             with tracer.span("detect.enumerate", strategy=self.enumeration):
+                with tracer.span("detect.location_index"):
+                    index = location_accessors(hb.graph)
+                tracer.count(
+                    "detect.location_entries",
+                    sum(len(accessors) for accessors in index.values()),
+                )
                 if self.enumeration == ENUM_BATCHED:
                     if self.backend == BACKEND_CHAINS:
-                        self._enumerate_chains(hb, report, seen)
+                        self._enumerate_chains(hb, index, report, seen)
                     else:
-                        self._enumerate_batched(hb, report, seen)
+                        self._enumerate_batched(hb, index, report, seen)
                 else:
-                    self._enumerate_pairwise(hb, report, seen)
+                    self._enumerate_pairwise(hb, index, report, seen)
                 report.races.sort(key=lambda race: (race.op_i.index, race.op_j.index))
             report.closure = {
                 "backend": hb.stats.backend,
@@ -342,7 +348,7 @@ class RaceDetector:
         return report
 
     def _enumerate_batched(
-        self, hb: HappensBefore, report: RaceReport, seen: set
+        self, hb: HappensBefore, index: LocationIndex, report: RaceReport, seen: set
     ) -> None:
         """Answer each accessor's racy partners with mask arithmetic.
 
@@ -355,8 +361,8 @@ class RaceDetector:
         graph = hb.graph
         st, mt = graph.st, graph.mt
         nodes = graph.nodes
-        for location, entry in self._location_index(hb).items():
-            accessors, access_mask, write_mask, scope_masks = entry
+        for location, accessors in index.items():
+            access_mask, write_mask, scope_masks = _accessor_masks(accessors)
             rest = access_mask  # accessors strictly after the current one
             for a, a_writes in accessors:
                 rest &= ~(1 << a.node_id)
@@ -369,7 +375,7 @@ class RaceDetector:
                     self._record(hb, report, seen, location, a, nodes[b_id])
 
     def _enumerate_chains(
-        self, hb: HappensBefore, report: RaceReport, seen: set
+        self, hb: HappensBefore, index: LocationIndex, report: RaceReport, seen: set
     ) -> None:
         """Chains-backend enumeration: each accessor's racy partners fall
         out of the reach vector directly.
@@ -382,11 +388,9 @@ class RaceDetector:
         in ascending node order, so reports match the batched path
         pair-for-pair.
         """
-        index = hb.graph.reach
-        reach = index.reach
-        chain_of = index.chain_of
-        for location, entry in self._location_index(hb).items():
-            accessors = entry[0]
+        reach = hb.graph.reach.reach
+        chain_of = hb.graph.reach.chain_of
+        for location, accessors in index.items():
             by_chain: Dict[int, Tuple[List[int], List[Tuple[HBNode, bool]]]] = {}
             for node, writes in accessors:
                 ids, infos = by_chain.setdefault(chain_of[node.node_id], ([], []))
@@ -415,11 +419,10 @@ class RaceDetector:
                     self._record(hb, report, seen, location, a, b)
 
     def _enumerate_pairwise(
-        self, hb: HappensBefore, report: RaceReport, seen: set
+        self, hb: HappensBefore, index: LocationIndex, report: RaceReport, seen: set
     ) -> None:
         """The original per-pair loop (one ordering query per candidate)."""
-        for location, entry in self._location_index(hb).items():
-            accessors = entry[0]
+        for location, accessors in index.items():
             for a_pos, (a, a_writes) in enumerate(accessors):
                 for b, b_writes in accessors[a_pos + 1 :]:
                     if a.thread == b.thread and a.task == b.task:
@@ -456,37 +459,26 @@ class RaceDetector:
             )
         )
 
-    def _location_index(
-        self, hb: HappensBefore
-    ) -> Dict[str, Tuple[List[Tuple[HBNode, bool]], int, int, Dict]]:
-        """Per location: ``(accessors, access_mask, write_mask, scope_masks)``.
 
-        ``accessors`` lists ``(node, writes_here)`` in ascending node order;
-        the masks carry the same information as node-id bitmasks, with
-        ``scope_masks`` grouping accessors by ``(thread, task)`` — pairs
-        inside one scope are ordered by program order and never race.
-        """
-        index: Dict[str, list] = {}
-        for node in hb.graph.nodes:
-            if not node.is_access_block:
-                continue
-            bit = 1 << node.node_id
-            scope = (node.thread, node.task)
-            for location in node.locations():
-                entry = index.get(location)
-                if entry is None:
-                    entry = index[location] = [[], 0, 0, {}]
-                writes = node.writes_to(location)
-                entry[0].append((node, writes))
-                entry[1] |= bit
-                if writes:
-                    entry[2] |= bit
-                scopes = entry[3]
-                scopes[scope] = scopes.get(scope, 0) | bit
-        return {
-            location: (entry[0], entry[1], entry[2], entry[3])
-            for location, entry in index.items()
-        }
+def _accessor_masks(
+    accessors: List[Tuple[HBNode, bool]]
+) -> Tuple[int, int, Dict[Tuple[str, Optional[str]], int]]:
+    """One location's ``(access_mask, write_mask, scope_masks)``.
+
+    The masks carry the accessor list as node-id bitmasks, with
+    ``scope_masks`` grouping accessors by ``(thread, task)`` — pairs
+    inside one scope are ordered by program order and never race.
+    """
+    access_mask = write_mask = 0
+    scope_masks: Dict[Tuple[str, Optional[str]], int] = {}
+    for node, writes in accessors:
+        bit = 1 << node.node_id
+        access_mask |= bit
+        if writes:
+            write_mask |= bit
+        scope = (node.thread, node.task)
+        scope_masks[scope] = scope_masks.get(scope, 0) | bit
+    return access_mask, write_mask, scope_masks
 
 
 def _representative_pair(

@@ -346,7 +346,9 @@ class ExecutionTrace:
             if not stripped or stripped.startswith("#"):
                 continue
             try:
-                ops.append(operation_from_record(json.loads(stripped)))
+                # Built at its final position, so ``_ingest`` keeps the
+                # operation as is instead of constructing it a second time.
+                ops.append(operation_from_record(json.loads(stripped), len(ops)))
             except (ValueError, KeyError, TypeError) as exc:
                 error = TraceFormatError(line_number, _format_reason(exc), stripped)
                 if strict:
@@ -405,8 +407,12 @@ def operation_to_record(op: Operation) -> dict:
     return rec
 
 
-def operation_from_record(rec: dict) -> Operation:
+def operation_from_record(rec: dict, index: Optional[int] = None) -> Operation:
     """Inverse of :func:`operation_to_record`.
+
+    ``index`` is the operation's trace position; when given it overrides
+    any ``"index"`` key the record carries (a trace loader knows each
+    record's position, a stored race endpoint does not).
 
     Raises ``ValueError`` with a meaningful message for records missing
     required keys or naming unknown op kinds (instead of a bare
@@ -430,6 +436,8 @@ def operation_from_record(rec: dict) -> Operation:
         thread = rec.pop("thread")
     except KeyError:
         raise ValueError("record is missing the 'thread' field")
+    if index is not None:
+        rec["index"] = index
     try:
         return Operation(kind, thread, **rec)
     except TypeError as exc:

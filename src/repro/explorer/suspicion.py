@@ -42,6 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.classification import RaceCategory
 from repro.core.explain import hb_witness
+from repro.core.graph import location_accessors
 from repro.core.happens_before import HappensBefore
 from repro.core.race_detector import RaceReport
 from repro.core.trace import ExecutionTrace
@@ -165,21 +166,6 @@ class LocationSignal:
 # -- per-run signal collection ---------------------------------------------------
 
 
-def _location_accessors(hb: HappensBefore) -> Dict[str, List[Tuple]]:
-    """Per location, the access-block nodes touching it (ascending node
-    order) with a writes-here flag — the same grouping the detector's
-    enumeration works from."""
-    index: Dict[str, List[Tuple]] = {}
-    for node in hb.graph.nodes:
-        if not node.is_access_block:
-            continue
-        for location in node.locations():
-            index.setdefault(location, []).append(
-                (node, node.writes_to(location))
-            )
-    return index
-
-
 def _bridge_count(hb: HappensBefore, a: int, b: int, limit: int = 2) -> int:
     """Derived (FIFO/NOPRE/AT-FRONT) edges usable on an ``a -> b`` HB
     path: edges ``(u, v)`` with ``a ⪯ u`` and ``v ⪯ b``.  Stops counting
@@ -220,7 +206,7 @@ def collect_signals(
         categories.setdefault(race.location, []).append(race.category.value)
     scan_bridges = len(hb.rule_edges) <= max_rule_edges
     signals: Dict[str, dict] = {}
-    for location, accessors in _location_accessors(hb).items():
+    for location, accessors in location_accessors(hb.graph).items():
         truncated = len(accessors) > max_accessors
         if truncated:
             accessors = accessors[:max_accessors]

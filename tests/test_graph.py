@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.graph import HBGraph, bits
+from repro.core.graph import HBGraph, bits, location_accessors
 from repro.core.operations import (
     attachq,
     begin,
@@ -41,8 +41,10 @@ class TestCoalescing:
         block = graph.node_for(1)
         assert block is graph.node_for(2) is graph.node_for(3)
         assert block.locations() == ["a", "b"]
-        assert block.writes_to("a") and block.reads_from("a")
-        assert block.writes_to("b") and not block.writes_to("c")
+        assert location_accessors(graph) == {
+            "a": [(block, True)],
+            "b": [(block, True)],
+        }
 
     def test_sync_op_on_same_thread_breaks_run(self):
         trace = ExecutionTrace(

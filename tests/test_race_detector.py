@@ -1,7 +1,10 @@
 """Tests for the race detection algorithm (§4.3)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.graph import HBGraph, location_accessors
 from repro.core.operations import (
     attachq,
     begin,
@@ -19,6 +22,7 @@ from repro.core.operations import (
 from repro.core.race_detector import RaceDetector, detect_races
 from repro.core.trace import ExecutionTrace
 from repro.core.classification import RaceCategory
+from tests.test_property import run_random_app
 
 
 def trace_of(*ops, name="t"):
@@ -223,3 +227,85 @@ class TestEnableSuppressesFalsePositive:
             r for r in report.races if 7 in (r.op_i.index, r.op_j.index)
         ]
         assert launch_write_races == []
+
+
+def defined_accessors(graph):
+    """``location -> [(node, writes)]`` straight from the definition: each
+    access block's locations in first-access order, each flag from a scan
+    of that location's accesses in the block."""
+    index = {}
+    for node in graph.nodes:
+        if not node.is_access_block:
+            continue
+        for location in node.locations():
+            writes = any(op.is_write for op in node.accesses_to(location))
+            index.setdefault(location, []).append((node, writes))
+    return index
+
+
+def as_ordered(index):
+    """The index as nested lists, so comparison checks location order,
+    accessor order and flags."""
+    return [
+        (location, [(node.node_id, writes) for node, writes in accessors])
+        for location, accessors in index.items()
+    ]
+
+
+class TestLocationIndex:
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_matches_definition_on_random_apps(self, seed, coalesce):
+        trace = run_random_app(seed).build_trace()
+        graph = HBGraph(trace, coalesce=coalesce)
+        assert as_ordered(location_accessors(graph)) == as_ordered(
+            defined_accessors(graph)
+        )
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_read_write_orders_within_a_block(self, coalesce):
+        trace = trace_of(
+            threadinit("t"),
+            threadinit("u"),
+            read("t", "a"),  # read then write: flag upgrades to a write
+            write("t", "a"),
+            write("t", "b"),  # write then read: a later read keeps it a write
+            read("t", "b"),
+            read("t", "c"),
+            read("t", "c"),
+            read("u", "c"),
+            write("u", "c"),
+            read("u", "a"),
+        )
+        graph = HBGraph(trace, coalesce=coalesce)
+        got = as_ordered(location_accessors(graph))
+        assert got == as_ordered(defined_accessors(graph))
+        if coalesce:
+            # one block per thread; locations in first-access order
+            assert got == [
+                ("a", [(2, True), (3, False)]),
+                ("b", [(2, True)]),
+                ("c", [(2, False), (3, True)]),
+            ]
+
+    def test_detector_counts_location_entries(self):
+        from repro.obs import Tracer, use_tracer
+
+        trace = trace_of(
+            threadinit("t"),
+            threadinit("u"),
+            read("t", "a"),
+            write("t", "b"),
+            write("u", "a"),
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            detect_races(trace)
+        assert tracer.counters["detect.location_entries"] == 3
+        spans = {r.name: r for r in tracer.spans}
+        assert (
+            spans["detect.location_index"].parent_id
+            == spans["detect.enumerate"].span_id
+        )

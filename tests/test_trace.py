@@ -15,6 +15,7 @@ from repro.core.operations import (
     threadinit,
     write,
 )
+from repro.core.operations import Operation
 from repro.core.trace import (
     ExecutionTrace,
     InvalidTraceError,
@@ -238,6 +239,44 @@ class TestSerialization:
         text = '# comment\n\n{"kind": "threadinit", "thread": "t"}\n'
         trace = ExecutionTrace.from_jsonl(text)
         assert len(trace) == 1
+
+    def test_load_constructs_each_operation_once(self, tmp_path, monkeypatch):
+        trace = simple_looper_trace()
+        path = tmp_path / "t.jsonl"
+        path.write_text("# header\n\n" + trace.to_jsonl())
+        calls = []
+        original = Operation.__post_init__
+
+        def counting(op):
+            calls.append(op.index)
+            original(op)
+
+        monkeypatch.setattr(Operation, "__post_init__", counting)
+        loaded = ExecutionTrace.load(str(path))
+        assert calls == list(range(len(trace)))
+        assert [op.render() for op in loaded] == [op.render() for op in trace]
+
+    def test_record_index_is_overridden_by_position(self):
+        text = (
+            '{"kind": "threadinit", "thread": "t", "index": 7}\n'
+            '{"kind": "write", "thread": "t", "location": "O@1.f", "index": 0}\n'
+            '{"kind": "read", "thread": "t", "location": "O@1.f", "index": "x"}\n'
+        )
+        trace = ExecutionTrace.from_jsonl(text)
+        assert [op.index for op in trace] == [0, 1, 2]
+        assert trace.to_jsonl() == ExecutionTrace(list(trace)).to_jsonl()
+
+    def test_race_round_trip_keeps_op_indices(self):
+        from repro.apps.paper_traces import figure4_trace
+        from repro.core.race_detector import Race, detect_races
+
+        races = detect_races(figure4_trace()).races
+        assert races
+        for race in races:
+            restored = Race.from_dict(race.to_dict())
+            assert restored.op_i.index == race.op_i.index
+            assert restored.op_j.index == race.op_j.index
+            assert restored == race
 
 
 class TestTraceBuilder:
